@@ -25,11 +25,16 @@ lint:
 suppressions:
 	$(GO) run ./cmd/chimelint -suppressions
 
+# The benchmark module (perfbench/, its own go.mod over this one) is
+# outside ./..., so build and test reach it explicitly: a change to the
+# index packages must keep the benchmark compiling and its tests green.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # Everything under internal/ runs under the race detector: the verb
 # layer, clients, instruments and harness are concurrency-sensitive,

@@ -27,28 +27,59 @@ func buildAllocTree(tb testing.TB, n int) *Client {
 	return cl
 }
 
-// TestSearchAllocsBounded pins the effect of image pooling on the read
-// path. A warm-cache search fetches one leaf window into a pooled
-// buffer; without pooling every search allocates a full leaf image
-// (plus an internal image per cache miss), which pushes the allocation
-// count well past this ceiling. The bound is ~2x the measured warm
-// figure so it only trips on structural regressions, not noise.
+// TestSearchAllocsBounded pins the allocation profile of the point-read
+// engine. A warm-cache Search runs on the client's own op and fetches
+// one leaf window into a pooled image; without pooling every search
+// allocates a full leaf image (plus an internal image per cache miss),
+// and without recycling polled completions every posted verb
+// heap-allocates its handle. SearchBatch runs the same engine on
+// per-batch ops. Each bound is ~2x the measured warm figure so it only
+// trips on structural regressions, not noise.
 func TestSearchAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	key := uint64(700) * 7
-	for i := 0; i < 3; i++ { // warm cache and pools
-		if _, err := cl.Search(key); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]uint64, 8)
+	for i := range batch {
+		batch[i] = uint64(100*i+3) * 7
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := cl.Search(key); err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		name      string
+		op        func() error
+		maxAllocs float64
+	}{
+		{"Search", func() error {
+			_, err := cl.Search(key)
+			return err
+		}, 4},
+		{"SearchBatch/depth1", func() error {
+			_, errs := cl.SearchBatch([]uint64{key}, 1)
+			return errs[0]
+		}, 50},
+		{"SearchBatch/depth8", func() error {
+			_, errs := cl.SearchBatch(batch, 8)
+			for _, err := range errs {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 370},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 3; i++ { // warm cache and pools
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	const maxAllocs = 40
-	if avg > maxAllocs {
-		t.Fatalf("warm Search allocates %.1f objects/op, want <= %d (image pooling regressed?)", avg, maxAllocs)
+		avg := testing.AllocsPerRun(200, func() {
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs/op", tc.name, avg)
+		if avg > tc.maxAllocs {
+			t.Errorf("warm %s allocates %.1f objects/op, want <= %.0f (image pooling or completion recycling regressed?)", tc.name, avg, tc.maxAllocs)
+		}
 	}
 }
 
@@ -76,7 +107,7 @@ func TestInsertAllocsBounded(t *testing.T) {
 }
 
 // TestUpdateAllocsBounded does the same for the update/delete window
-// path (fetchLeafWindow + writeRangeAndUnlock).
+// path (readWindow + writeRangeAndUnlock).
 func TestUpdateAllocsBounded(t *testing.T) {
 	cl := buildAllocTree(t, 2000)
 	key := uint64(700) * 7

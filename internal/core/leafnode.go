@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"chime/internal/dmsim"
@@ -52,6 +53,10 @@ type leafLayout struct {
 
 	vacGroups, vacPerBit int
 
+	// whole is the read plan of an entire node (everything past the
+	// lock word): splits, merges, scans and full-node write fallbacks.
+	whole leafWindow
+
 	imgPool sync.Pool // of *leafImage; hot read paths recycle images
 }
 
@@ -87,6 +92,15 @@ func newLeafLayout(o Options) *leafLayout {
 		base := g * (o.Neighborhood + 1)
 		l.replicaCells = append(l.replicaCells, cells[base])
 		l.entryCells = append(l.entryCells, cells[base+1:base+1+o.Neighborhood]...)
+	}
+	l.whole = leafWindow{
+		segs:    []byteRange{{Off: lineSize, End: l.size}},
+		idxs:    make([]int, l.span),
+		rider:   -1,
+		covered: l.allCells,
+	}
+	for i := range l.whole.idxs {
+		l.whole.idxs[i] = i
 	}
 	return l
 }
@@ -304,6 +318,62 @@ func (l *leafLayout) neighborhoodSegments(home, count int, includeMeta bool) ([]
 		segs[1].Off = l.replicaCells[0].Off
 	}
 	return segs, idxs
+}
+
+// leafWindow is the read plan of one leaf fetch, shared by every path
+// that reads a leaf — Search, SearchBatch, both write protocols and the
+// MN-side program: the window segments, posted as one READ (a doorbell
+// batch when the window wraps or carries a rider cell); the entry
+// indexes the neighbourhood covers, in fetch order; and the metadata
+// replica the fetch validates against. When no replica lies inside the
+// window — always under the ReplicateMeta ablation — meta names the
+// dedicated replica cell, READ only after the window completes: the
+// extra round trip §3.2.2 and Fig 15 charge. covered lists every cell
+// the fetch fills, for version validation.
+type leafWindow struct {
+	segs    []byteRange
+	idxs    []int
+	rider   int // extra entry read with the window (insert argmax), or -1
+	meta    byteRange
+	metaG   int
+	covered []cell
+}
+
+// planWindow plans a fetch of entries [home, home+count) circularly.
+// rider >= 0 names one more entry whose cell joins the window's READ
+// when the neighbourhood does not already cover it (the insert window's
+// argmax, §4.2.3).
+func (l *leafLayout) planWindow(home, count int, replicate bool, rider int) leafWindow {
+	segs, idxs := l.neighborhoodSegments(home, count, replicate)
+	w := leafWindow{segs: segs, idxs: idxs, rider: -1}
+	if rider >= 0 && !slices.Contains(idxs, rider) {
+		rc := l.entryCells[rider]
+		w.segs = append(w.segs, byteRange{Off: rc.Off, End: rc.End()})
+		w.rider = rider
+	}
+	w.metaG = l.metaInRanges(w.segs)
+	ranges := w.segs
+	if !replicate || w.metaG < 0 {
+		rc := l.replicaCells[0]
+		w.meta = byteRange{Off: rc.Off, End: rc.End()}
+		w.metaG = 0
+		ranges = append(ranges[:len(ranges):len(ranges)], w.meta)
+	}
+	w.covered = l.coveredCells(ranges)
+	return w
+}
+
+// fetched returns the per-entry mask of what the window reads, which
+// the write paths consult before trusting any slot.
+func (w *leafWindow) fetched(span int) []bool {
+	m := make([]bool, span)
+	for _, i := range w.idxs {
+		m[i] = true
+	}
+	if w.rider >= 0 {
+		m[w.rider] = true
+	}
+	return m
 }
 
 // coveredCells lists the cells fully contained in the given ranges; used

@@ -114,36 +114,29 @@ func (p *mnProgram) descend(ctx *dmsim.MNCtx, key uint64) (dmsim.GAddr, mnStep) 
 	return dmsim.NilGAddr, mnDone(dmsim.OffloadRetry)
 }
 
-// readLeafWindow mirrors Client.fetchLeafWindow against local memory:
-// entries [home, home+count) plus a metadata replica, version-validated.
-// The caller owns the returned image.
+// readLeafWindow reads the clients' neighbourhood plan (planWindow)
+// against local memory: entries [home, home+count) plus a metadata
+// replica, version-validated. The caller owns the returned image.
 func (p *mnProgram) readLeafWindow(ctx *dmsim.MNCtx, leaf dmsim.GAddr, home, count int) (*leafImage, []int, int, mnStep) {
 	lay := p.ix.leaf
 	im := lay.getImage()
-	segs, idxs := lay.neighborhoodSegments(home, count, p.ix.opts.ReplicateMeta)
+	w := lay.planWindow(home, count, p.ix.opts.ReplicateMeta, -1)
+	ranges := w.segs
+	if w.meta.size() > 0 {
+		ranges = append(ranges[:len(ranges):len(ranges)], w.meta)
+	}
 	for try := 0; try < mnTornRetries; try++ {
-		for _, s := range segs {
+		for _, s := range ranges {
 			if !ctx.Read(leaf.Add(uint64(s.Off)), im.buf[s.Off:s.End]) {
 				lay.putImage(im)
 				return nil, nil, 0, mnDone(dmsim.OffloadCrossMN)
 			}
 		}
-		ranges := segs
-		metaG := lay.metaInRanges(ranges)
-		if !p.ix.opts.ReplicateMeta || metaG < 0 {
-			rc := lay.replicaCells[0]
-			if !ctx.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]) {
-				lay.putImage(im)
-				return nil, nil, 0, mnDone(dmsim.OffloadCrossMN)
-			}
-			metaG = 0
-			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
-		}
-		if checkVersions(im.buf, 0, lay.coveredCells(ranges)) != nil {
+		if checkVersions(im.buf, 0, w.covered) != nil {
 			runtime.Gosched()
 			continue
 		}
-		return im, idxs, metaG, mnDone(dmsim.OffloadOK)
+		return im, w.idxs, w.metaG, mnDone(dmsim.OffloadOK)
 	}
 	lay.putImage(im)
 	return nil, nil, 0, mnDone(dmsim.OffloadRetry)

@@ -140,7 +140,7 @@ func (c *Client) collectLeafBatch(im *leafImage, start uint64) ([]KV, error) {
 		pends = append(pends, pending{key: e.key, buf: buf, h: h})
 	}
 	for _, p := range pends {
-		c.dc.Poll(p.h)
+		c.reap(&p.h)
 		if firstErr != nil {
 			continue // drain only
 		}
@@ -189,7 +189,7 @@ func (c *Client) finishLeafPrefetch(p *leafPrefetch) (*leafImage, leafMeta, erro
 	if p.im == nil {
 		return c.readLeafForScan(p.addr)
 	}
-	c.dc.Poll(p.h)
+	c.reap(&p.h)
 	ok := checkVersions(p.im.buf, 0, lay.allCells) == nil
 	if ok {
 		for home := 0; home < lay.span; home++ {
@@ -212,7 +212,7 @@ func (c *Client) finishLeafPrefetch(p *leafPrefetch) (*leafImage, leafMeta, erro
 // wasted prefetch can only slow the scan down, never speed it up).
 func (p *leafPrefetch) abandon(c *Client) {
 	if p.im != nil {
-		c.dc.Poll(p.h)
+		c.reap(&p.h)
 		c.ix.leaf.putImage(p.im)
 	}
 }

@@ -207,6 +207,11 @@ type Client struct {
 	// response buffer.
 	router *offroute.Router
 	offBuf []byte
+
+	// one is Search's op (the point-read engine at depth 1); walk is
+	// traverse's descent. Both keep their path buffers across ops.
+	one  searchOp
+	walk descent
 }
 
 // NewClient creates a client handle bound to this compute node.
@@ -313,147 +318,30 @@ type leafRef struct {
 	path []pathEntry
 }
 
-// traverse walks internal nodes (cache first, remote on miss) down to
-// the leaf covering key.
+// traverse drives a descent to the leaf covering key by post and poll:
+// the point-read engine's walk at depth 1, for the synchronous write
+// protocol and Scan. The returned ref's path shares the client's walk
+// buffer and is valid until the next traverse.
 func (c *Client) traverse(key uint64) (leafRef, error) {
+	d := &c.walk
+	d.key = key
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		if c.rootAddr.IsNil() {
-			if err := c.refreshRoot(); err != nil {
-				return leafRef{}, err
-			}
+		r, err := c.startDescent(d)
+		for r == descPosted {
+			r, err = c.stepDescent(d)
 		}
-		ref, err := c.traverseFrom(c.rootAddr, c.rootLevel, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // force a super-block re-read
-			c.yield()
-			continue
-		}
-		if err == nil {
+		switch r {
+		case descArrived:
 			c.resetBackoff()
+			return d.ref, nil
+		case descFailed:
+			return leafRef{}, err
 		}
-		return ref, err
+		c.obs.Retries.Inc()
+		c.rootAddr = dmsim.NilGAddr // force a super-block re-read
+		c.yield()
 	}
 	return leafRef{}, fmt.Errorf("core: traverse(%#x): restart loop exhausted", key)
-}
-
-func (c *Client) traverseFrom(root dmsim.GAddr, rootLevel uint8, key uint64) (leafRef, error) {
-	c.chargeLocalWork()
-	if rootLevel == 0 {
-		// The root is a leaf.
-		return leafRef{addr: root}, nil
-	}
-	cur := root
-	var path []pathEntry
-	for hop := 0; hop < maxRetries; hop++ {
-		fromCache := true
-		n := c.cn.cache.get(cur)
-		if n == nil {
-			fromCache = false
-			fresh, img, err := c.readInternal(cur)
-			if err != nil {
-				return leafRef{}, err
-			}
-			// The decoded node copies everything it keeps; recycle the
-			// fetch buffer.
-			c.ix.inner.putImage(img)
-			if !fresh.valid {
-				return leafRef{}, errRestart
-			}
-			c.cn.cache.put(cur, fresh, int64(c.ix.inner.size))
-			n = fresh
-		}
-		if !n.covers(key) {
-			if fromCache {
-				// Stale cached node: drop it and retry this address
-				// remotely.
-				c.cn.cache.invalidate(cur)
-				continue
-			}
-			if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-				// Half-split at this level: chase the B-link sibling.
-				c.obs.SiblingChases.Inc()
-				cur = n.sibling
-				continue
-			}
-			return leafRef{}, errRestart
-		}
-		path = append(path, pathEntry{addr: cur, level: n.level})
-		child, _, next := n.childFor(key)
-		if child.IsNil() {
-			if fromCache {
-				c.cn.cache.invalidate(cur)
-				continue
-			}
-			return leafRef{}, errRestart
-		}
-		if n.level == 1 {
-			return leafRef{
-				addr:            child,
-				expected:        next,
-				expectedKnown:   !next.IsNil(),
-				parentAddr:      cur,
-				parentFromCache: fromCache,
-				path:            path,
-			}, nil
-		}
-		cur = child
-	}
-	return leafRef{}, fmt.Errorf("core: traverseFrom(%#x): descent loop exhausted", key)
-}
-
-// fetchLeafWindow reads entries [home, home+count) of a leaf (circular),
-// including a metadata replica, into a fresh image, validating versions
-// and returning the covered entry indexes and the replica group. When
-// the ReplicateMeta ablation is off, the replica is fetched with a
-// dedicated extra READ, as §3.2.2 describes.
-func (c *Client) fetchLeafWindow(leaf dmsim.GAddr, home, count int) (*leafImage, []int, int, error) {
-	lay := c.ix.leaf
-	im := lay.getImage()
-	segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
-
-	for try := 0; try < maxRetries; try++ {
-		var err error
-		if len(segs) == 1 {
-			err = c.dc.Read(leaf.Add(uint64(segs[0].Off)), im.buf[segs[0].Off:segs[0].End])
-		} else {
-			addrs := make([]dmsim.GAddr, len(segs))
-			bufs := make([][]byte, len(segs))
-			for i, s := range segs {
-				addrs[i] = leaf.Add(uint64(s.Off))
-				bufs[i] = im.buf[s.Off:s.End]
-			}
-			err = c.dc.ReadBatch(addrs, bufs)
-		}
-		if err != nil {
-			lay.putImage(im)
-			return nil, nil, 0, err
-		}
-
-		ranges := segs
-		metaG := lay.metaInRanges(ranges)
-		if !c.ix.opts.ReplicateMeta || metaG < 0 {
-			// Dedicated metadata READ (the "+Leaf Meta" ablation): fetch
-			// replica 0 separately, costing one extra round trip.
-			rc := lay.replicaCells[0]
-			if err := c.dc.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]); err != nil {
-				lay.putImage(im)
-				return nil, nil, 0, err
-			}
-			metaG = 0
-			ranges = append(append([]byteRange{}, segs...), byteRange{Off: rc.Off, End: rc.End()})
-		}
-
-		if err := checkVersions(im.buf, 0, lay.coveredCells(ranges)); err != nil {
-			c.obs.TornReads.Inc()
-			c.yield()
-			continue
-		}
-		c.resetBackoff()
-		return im, idxs, metaG, nil
-	}
-	lay.putImage(im)
-	return nil, nil, 0, fmt.Errorf("core: leaf %v: torn-read retries exhausted", leaf)
 }
 
 // validateLeafMeta applies sibling-based validation to a fetched leaf
@@ -484,147 +372,4 @@ func (c *Client) validateLeafMeta(ref *leafRef, meta leafMeta, key uint64, found
 		return true, nil
 	}
 	return false, nil
-}
-
-// searchOneSided performs a point query with one-sided verbs only; the
-// public Search (offload.go) routes between this and the MN-side
-// offload program.
-func (c *Client) searchOneSided(key uint64) ([]byte, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		ref, err := c.traverse(key)
-		if err != nil {
-			return nil, err
-		}
-		val, err := c.searchLeafChain(ref, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // a split root-leaf invalidates it
-			c.yield()
-			continue
-		}
-		return val, err
-	}
-	return nil, fmt.Errorf("core: Search(%#x): retries exhausted", key)
-}
-
-// searchLeafChain searches the leaf ref points at, following sibling
-// pointers across half-splits.
-func (c *Client) searchLeafChain(ref leafRef, key uint64) ([]byte, error) {
-	lay := c.ix.leaf
-	home := lay.homeOf(key)
-	cur := ref
-	for hops := 0; hops <= maxRetries; hops++ {
-		// Hotness-aware speculative read (§4.3): try the single hot
-		// entry first.
-		if idx := c.cn.hotspot.lookup(cur.addr, key, home, lay.h, lay.span); idx >= 0 {
-			val, ok, err := c.speculativeRead(cur.addr, idx, key)
-			if err != nil {
-				return nil, err
-			}
-			c.cn.hotspot.noteSpeculation(ok)
-			if ok {
-				c.obs.HotspotHits.Inc()
-				return val, nil
-			}
-			c.obs.HotspotMisses.Inc()
-			c.cn.hotspot.drop(cur.addr, idx)
-		}
-
-		im, idxs, metaG, err := c.fetchLeafWindow(cur.addr, home, lay.h)
-		if err != nil {
-			return nil, err
-		}
-
-		// Third synchronization level (§4.1.2): the stored hopscotch
-		// bitmap of the home entry must match the bitmap reconstructed
-		// from the keys actually fetched; a mismatch means a concurrent
-		// hop-range write was caught mid-flight.
-		homeEntry := im.entry(home)
-		if homeEntry.hopBM != im.reconstructHopBitmap(home) {
-			lay.putImage(im)
-			return nil, errRestart
-		}
-
-		foundIdx := -1
-		var foundVal []byte
-		for d := 0; d < lay.h; d++ {
-			if homeEntry.hopBM&(1<<uint(d)) == 0 {
-				continue
-			}
-			e := im.entry(idxs[d])
-			if e.occupied && e.key == key {
-				foundIdx = idxs[d]
-				foundVal = e.value
-				break
-			}
-		}
-
-		meta := im.meta(metaG)
-		// Everything consumed below (foundVal, meta) is already copied
-		// out of the image; recycle it before the verdict.
-		lay.putImage(im)
-		follow, err := c.validateLeafMeta(&cur, meta, key, foundIdx >= 0)
-		if err != nil {
-			return nil, err
-		}
-		if foundIdx >= 0 {
-			c.cn.hotspot.record(cur.addr, foundIdx, key)
-			if c.ix.opts.Indirect {
-				return c.readIndirect(foundVal, key)
-			}
-			return append([]byte(nil), foundVal...), nil
-		}
-		if follow {
-			c.obs.SiblingChases.Inc()
-			cur = leafRef{addr: meta.sibling}
-			continue
-		}
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("core: Search(%#x): sibling chain too long", key)
-}
-
-// speculativeRead fetches one entry cell and reports whether it held the
-// key with consistent versions.
-func (c *Client) speculativeRead(leaf dmsim.GAddr, idx int, key uint64) ([]byte, bool, error) {
-	lay := c.ix.leaf
-	cellC := lay.entryCells[idx]
-	im := lay.getImage()
-	defer lay.putImage(im)
-	if err := c.dc.Read(leaf.Add(uint64(cellC.Off)), im.buf[cellC.Off:cellC.End()]); err != nil {
-		return nil, false, err
-	}
-	if err := checkVersions(im.buf, 0, []cell{cellC}); err != nil {
-		return nil, false, nil // torn: treat as misspeculation
-	}
-	e := im.entry(idx)
-	if !e.occupied || e.key != key {
-		return nil, false, nil
-	}
-	if c.ix.opts.Indirect {
-		val, err := c.readIndirect(e.value, key)
-		if err == errRestart {
-			return nil, false, nil
-		}
-		return val, err == nil, err
-	}
-	return append([]byte(nil), e.value...), true, nil
-}
-
-// readIndirect follows a leaf entry's block pointer and returns the
-// value stored in the KV block (§4.5). The block holds [8B key][value];
-// a key mismatch means the entry was concurrently re-pointed.
-func (c *Client) readIndirect(ptrBytes []byte, key uint64) ([]byte, error) {
-	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(ptrBytes[:8]))
-	if ptr.IsNil() {
-		return nil, errRestart
-	}
-	buf := make([]byte, 8+c.ix.opts.ValueSize)
-	if err := c.dc.Read(ptr, buf); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(buf[:8]) != key {
-		return nil, errRestart
-	}
-	return buf[8:], nil
 }

@@ -164,7 +164,7 @@ func (c *Client) writeRangeAndUnlock(leaf dmsim.GAddr, im *leafImage, ranges []b
 	if err != nil {
 		return err
 	}
-	c.dc.Poll(h)
+	c.reap(&h)
 	return nil
 }
 
@@ -375,90 +375,49 @@ func (c *Client) insertIntoLeaf(ref leafRef, key uint64, valFn func([]byte, bool
 	return true, nil
 }
 
-// fetchInsertWindow reads the insert working set in one round trip: the
-// neighborhood of home extended through the first vacancy-bitmap group
-// that may contain an empty slot, plus the argmax entry when it falls
-// outside (fetched in the same doorbell batch). It returns the image,
-// a per-entry fetched mask, whether the whole node was read, and the
-// metadata replica group.
+// writeWindow plans a locked write's fetch around home: the
+// neighbourhood for an update; for an upsert, the insert window through
+// the first vacancy-bitmap group that may contain an empty slot, with
+// the argmax entry riding in the same doorbell batch when it falls
+// outside (§4.2.1, §4.2.3 — no extra round trip). ok is false when every
+// group advertises full: the write reads the whole node.
+func (c *Client) writeWindow(home int, lw lockWord, upsert bool) (w leafWindow, ok bool) {
+	lay := c.ix.leaf
+	count, rider := lay.h, -1
+	if upsert {
+		if count = c.probeCount(home, lw.vacancy); count >= lay.span {
+			return leafWindow{}, false
+		}
+		if count < lay.h {
+			count = lay.h
+		}
+		if lw.argmaxValid && lw.argmax < lay.span {
+			rider = lw.argmax
+		}
+	}
+	return lay.planWindow(home, count, c.ix.opts.ReplicateMeta, rider), true
+}
+
+// fetchInsertWindow reads the insert working set (writeWindow) in one
+// round trip — two under the ReplicateMeta ablation. It returns the
+// image, a per-entry fetched mask, whether the whole node was read, and
+// the metadata replica group. Unfetched bytes of the pooled image are
+// never decoded or written back: the fetched mask gates every consumer.
 func (c *Client) fetchInsertWindow(leaf dmsim.GAddr, home int, lw lockWord) (*leafImage, []bool, bool, int, error) {
 	lay := c.ix.leaf
-
-	// Walk vacancy groups forward from home's group looking for a group
-	// that may contain an empty slot.
-	count := c.probeCount(home, lw.vacancy)
-	if count >= lay.span {
+	w, ok := c.writeWindow(home, lw, true)
+	if !ok {
 		im, fetched, metaG, err := c.fetchWholeLeaf(leaf)
 		return im, fetched, true, metaG, err
 	}
-	if count < lay.h {
-		count = lay.h
-	}
-
-	segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
-	ranges := segs
-
-	// Include the argmax entry in the same batch when it is outside the
-	// window (no extra round trip; §4.2.3).
-	fetchedSet := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		fetchedSet[i] = true
-	}
-	if lw.argmaxValid && !fetchedSet[lw.argmax] && lw.argmax < lay.span {
-		cellC := lay.entryCells[lw.argmax]
-		ranges = append(append([]byteRange{}, segs...), byteRange{Off: cellC.Off, End: cellC.End()})
-		fetchedSet[lw.argmax] = true
-	}
-
-	// Pooled image: only the fetched ranges are ever decoded or written
-	// back (the fetched mask gates every consumer), so a recycled buffer's
-	// stale bytes are unreachable.
+	// We hold the lock, so no writer races us; readWindow still
+	// validates versions for defense in depth.
 	im := lay.getImage()
-	for try := 0; try < maxRetries; try++ {
-		addrs := make([]dmsim.GAddr, 0, len(ranges)+1)
-		bufs := make([][]byte, 0, len(ranges)+1)
-		for _, r := range ranges {
-			addrs = append(addrs, leaf.Add(uint64(r.Off)))
-			bufs = append(bufs, im.buf[r.Off:r.End])
-		}
-		var err error
-		if len(addrs) == 1 {
-			err = c.dc.Read(addrs[0], bufs[0])
-		} else {
-			err = c.dc.ReadBatch(addrs, bufs)
-		}
-		if err != nil {
-			lay.putImage(im)
-			return nil, nil, false, 0, err
-		}
-
-		checkRanges := ranges
-		metaG := lay.metaInRanges(checkRanges)
-		if !c.ix.opts.ReplicateMeta || metaG < 0 {
-			rc := lay.replicaCells[0]
-			if err := c.dc.Read(leaf.Add(uint64(rc.Off)), im.buf[rc.Off:rc.End()]); err != nil {
-				lay.putImage(im)
-				return nil, nil, false, 0, err
-			}
-			metaG = 0
-			checkRanges = append(append([]byteRange{}, ranges...), byteRange{Off: rc.Off, End: rc.End()})
-		}
-		// We hold the lock, so no writer races us; a version mismatch
-		// can only come from our own read tearing against nothing —
-		// still validate for defense in depth.
-		if err := checkVersions(im.buf, 0, lay.coveredCells(checkRanges)); err != nil {
-			c.obs.TornReads.Inc()
-			c.yield()
-			continue
-		}
-		fetched := make([]bool, lay.span)
-		for i := range fetchedSet {
-			fetched[i] = true
-		}
-		return im, fetched, false, metaG, nil
+	if err := c.readWindow(leaf, im, &w); err != nil {
+		lay.putImage(im)
+		return nil, nil, false, 0, err
 	}
-	lay.putImage(im)
-	return nil, nil, false, 0, fmt.Errorf("core: leaf %v: insert window retries exhausted", leaf)
+	return im, w.fetched(lay.span), false, w.metaG, nil
 }
 
 // probeCount returns how many entries past home must be fetched so that
@@ -498,27 +457,12 @@ func (c *Client) fetchWholeLeaf(leaf dmsim.GAddr) (*leafImage, []bool, int, erro
 	// A recycled buffer carries a stale lock line; the read below only
 	// fills the cell region, so clear the first line to match a fresh
 	// image (split paths encode over the whole buffer).
-	for i := range im.buf[:lineSize] {
-		im.buf[i] = 0
+	clear(im.buf[:lineSize])
+	if err := c.readWindow(leaf, im, &lay.whole); err != nil {
+		lay.putImage(im)
+		return nil, nil, 0, err
 	}
-	for try := 0; try < maxRetries; try++ {
-		if err := c.dc.Read(leaf.Add(lineSize), im.buf[lineSize:]); err != nil {
-			lay.putImage(im)
-			return nil, nil, 0, err
-		}
-		if err := checkVersions(im.buf, 0, lay.allCells); err != nil {
-			c.obs.TornReads.Inc()
-			c.yield()
-			continue
-		}
-		fetched := make([]bool, lay.span)
-		for i := range fetched {
-			fetched[i] = true
-		}
-		return im, fetched, 0, nil
-	}
-	lay.putImage(im)
-	return nil, nil, 0, fmt.Errorf("core: leaf %v: whole-node read retries exhausted", leaf)
+	return im, lay.whole.fetched(lay.span), 0, nil
 }
 
 // applyHops executes the hop moves on the local image, inserts the key
@@ -706,12 +650,16 @@ func (c *Client) modifyInLeaf(ref leafRef, key uint64, mutate func(*leafEntry) (
 			return err
 		}
 		home := lay.homeOf(key)
-		im, idxs, metaG, err := c.fetchLeafWindow(addr, home, lay.h)
-		if err != nil {
+		w, _ := c.writeWindow(home, lw, false)
+		idxs := w.idxs
+		im := lay.getImage()
+		if err := c.readWindow(addr, im, &w); err != nil {
+			lay.putImage(im)
 			c.unlockLeaf(addr, lw)
 			return err
 		}
-		meta := im.meta(metaG)
+		c.resetBackoff()
+		meta := im.meta(w.metaG)
 		if !meta.valid {
 			c.unlockLeaf(addr, lw)
 			lay.putImage(im)

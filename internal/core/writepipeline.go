@@ -12,9 +12,11 @@ import (
 
 // Pipelined batch writes (async verb pipelining, write side). InsertBatch
 // and UpdateBatch drive up to `depth` writes through the tree at once on
-// ONE client, mirroring SearchBatch: each key is a state machine whose
-// remote verbs are posted, so the lock CAS, window fetch, and doorbell
-// write+unlock of different keys overlap on the virtual clock.
+// ONE client: each key is a state machine whose remote verbs are posted,
+// so the lock CAS, window fetch, and doorbell write+unlock of different
+// keys overlap on the virtual clock. A key reaches its leaf through the
+// point-read engine's descent (pipeline.go) and fetches it through the
+// same window plan (leafWindow) every leaf reader uses.
 //
 // On top of per-key pipelining, keys that resolve to the same leaf are
 // COMBINED into one write cycle: the first arrival becomes the cycle
@@ -24,20 +26,23 @@ import (
 // combining window exactly when the leaf is contended, which is when
 // combining pays most. Multi-key cycles always fetch the whole node
 // (exact occupancy for several hop plans); singleton cycles keep the
-// narrow insert/update window geometry of the synchronous path.
+// narrow insert/update window of the synchronous path.
 //
 // The batch path intentionally bypasses the local lock table: its
 // blocking Acquire would stall every other key in the batch. The posted
 // CAS retry loop is always correct against lock-table holders on this or
 // any other compute node — the remote word is the ground truth — and
 // per-leaf combining already serves the role local handover plays for
-// same-CN contention. Restart handling is per key: a stale ref, moved
-// fence, or split restarts only the key(s) involved, never the batch.
+// same-CN contention. That is also why writes keep two protocols: a
+// synchronous Insert/Update/Delete is not a depth-1 batch, because it
+// must hand a released lock to a queued same-CN waiter (write.go), which
+// contended YCSB A updates depend on. Restart handling is per key: a
+// stale ref, moved fence, or split restarts only the key(s) involved,
+// never the batch.
 
 // writeOp states.
 const (
-	wpRootWait = iota + 1
-	wpInternalWait
+	wpDescend = iota + 1
 	wpLockWait
 	wpLockRead
 	wpFetchWait
@@ -53,28 +58,17 @@ const (
 	writeUpdate                  // overwrite-only, ErrNotFound when absent
 )
 
-// writeOp is one in-flight key of an InsertBatch/UpdateBatch.
+// writeOp is one in-flight key of an InsertBatch/UpdateBatch: the
+// shared descent (pipeline.go), then a seat in a leaf write cycle.
 type writeOp struct {
+	descent
 	kind writeKind
-	key  uint64
 	val  []byte // prepared value bytes (pointer block in indirect mode)
 	idx  int    // position in the input / result slices
 
 	state int
 
-	// Traversal state (mirrors searchOp).
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr
-	path      []pathEntry
-	ref       leafRef
-	hops      int
-
-	h       *dmsim.Completion
-	rootBuf [8]byte
-	img     []byte // internal-node image (pooled)
-
-	restarts, torn, casFails int
+	restarts, casFails, leafTorn int
 
 	cy       *writeCycle
 	notFound bool // update key absent; reported once the cycle commits
@@ -93,13 +87,11 @@ type writeCycle struct {
 	lw      lockWord
 	lockBuf [8]byte // dedicated word read (PiggybackVacancy off)
 
-	im        *leafImage
-	fetched   []bool
-	full      bool
-	metaG     int
-	ranges    []byteRange
-	metaRange byteRange
-	h, h2     *dmsim.Completion
+	win     leafWindow
+	f       leafFetch // f.im is the cycle's pooled leaf image
+	fetched []bool
+	full    bool
+	h       *dmsim.Completion // lock CAS, lock-word READ or write-back in flight
 
 	// settled holds the ops whose outcome (success or ErrNotFound) commits
 	// when the posted doorbell write+unlock completes.
@@ -198,7 +190,7 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 	}
 	admit := func() {
 		for next < n && live < depth {
-			op := &writeOp{kind: kind, key: keys[next], idx: next}
+			op := &writeOp{descent: descent{key: keys[next]}, kind: kind, idx: next}
 			next++
 			live++
 			all = append(all, op)
@@ -207,7 +199,7 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 				op.err, op.state = err, wpDone
 			} else {
 				op.val = val
-				c.beginWriteOp(st, op)
+				c.startWriteOp(st, op)
 			}
 			settle(op)
 			drain()
@@ -242,101 +234,26 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 	return errs
 }
 
-// beginWriteOp (re)starts a key's traversal toward its leaf.
-func (c *Client) beginWriteOp(st *wpSched, op *writeOp) {
-	op.path = nil
-	op.hops = 0
+// startWriteOp (re)starts a key's descent toward its leaf.
+func (c *Client) startWriteOp(st *wpSched, op *writeOp) {
 	op.cy = nil
 	op.notFound = false
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failWriteOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = wpRootWait
-		return
-	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendWriteFromRoot(st, op)
+	r, err := c.startDescent(&op.descent)
+	c.writeDescended(st, op, r, err)
 }
 
-func (c *Client) descendWriteFromRoot(st *wpSched, op *writeOp) {
-	if op.rootLevel == 0 {
-		op.ref = leafRef{addr: op.root}
+// writeDescended acts on a descent outcome.
+func (c *Client) writeDescended(st *wpSched, op *writeOp, r descentResult, err error) {
+	switch r {
+	case descPosted:
+		op.state = wpDescend
+	case descArrived:
 		c.arriveWriteAtLeaf(st, op)
-		return
-	}
-	op.cur = op.root
-	c.descendWriteLoop(st, op)
-}
-
-// descendWriteLoop walks internal levels through the cache until it
-// needs a remote read (posting it) or reaches level 1 (arriving at the
-// leaf and joining/opening a write cycle).
-func (c *Client) descendWriteLoop(st *wpSched, op *writeOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cache.get(op.cur)
-		if n == nil {
-			op.img = c.ix.inner.getImage()
-			h, err := c.dc.PostRead(op.cur, op.img)
-			if err != nil {
-				c.failWriteOp(op, err)
-				return
-			}
-			op.h = h
-			op.state = wpInternalWait
-			return
-		}
-		if !c.stepWriteNode(st, op, n, true) {
-			return
-		}
-	}
-	c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): descent loop exhausted", op.key))
-}
-
-// stepWriteNode applies one internal node to the descent; false means
-// the op posted, arrived at its leaf, restarted, or failed.
-func (c *Client) stepWriteNode(st *wpSched, op *writeOp, n *internalNode, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
-		if fromCache {
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		if !n.fenceInf && key >= n.fenceHi && !n.sibling.IsNil() {
-			op.cur = n.sibling
-			return true
-		}
+	case descRestart:
 		c.restartWriteOp(st, op)
-		return false
+	default:
+		c.failWriteOp(op, err)
 	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: n.level})
-	child, _, nextC := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cache.invalidate(op.cur)
-			return true
-		}
-		c.restartWriteOp(st, op)
-		return false
-	}
-	if n.level == 1 {
-		op.ref = leafRef{
-			addr:            child,
-			expected:        nextC,
-			expectedKnown:   !nextC.IsNil(),
-			parentAddr:      op.cur,
-			parentFromCache: fromCache,
-			path:            op.path,
-		}
-		c.arriveWriteAtLeaf(st, op)
-		return false
-	}
-	op.cur = child
-	return true
 }
 
 // arriveWriteAtLeaf joins the leaf's collecting cycle, or opens a new
@@ -384,49 +301,15 @@ func (c *Client) postCycleLock(st *wpSched, op *writeOp) {
 // and advances the state machine.
 func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 	switch op.state {
-	case wpRootWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendWriteFromRoot(st, op)
-
-	case wpInternalWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		if err := c.ix.inner.checkInternalImage(op.img); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
-				c.failWriteOp(op, fmt.Errorf("core: internal node %v: torn-read retries exhausted", op.cur))
-				return
-			}
-			c.yield()
-			h, perr := c.dc.PostRead(op.cur, op.img)
-			if perr != nil {
-				c.failWriteOp(op, perr)
-				return
-			}
-			op.h = h
-			return
-		}
-		fresh := c.ix.inner.decodeInternal(op.cur, op.img)
-		c.ix.inner.putImage(op.img)
-		op.img = nil
-		if !fresh.valid {
-			c.restartWriteOp(st, op)
-			return
-		}
-		c.cn.cache.put(op.cur, fresh, int64(c.ix.inner.size))
-		if c.stepWriteNode(st, op, fresh, false) {
-			c.descendWriteLoop(st, op)
-		}
+	case wpDescend:
+		r, err := c.stepDescent(&op.descent)
+		c.writeDescended(st, op, r, err)
 
 	case wpLockWait:
 		cy := op.cy
 		c.dc.Poll(cy.h)
 		prev, ok := cy.h.CASResult()
-		cy.h = nil
+		c.reap(&cy.h)
 		if !ok {
 			if c.ix.opts.LeaseLocks {
 				// Synchronous steal attempt: rare (only after a crash),
@@ -468,25 +351,25 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 
 	case wpLockRead:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		cy.h = nil
+		c.reap(&cy.h)
 		cy.lw = decodeLockWord(binary.LittleEndian.Uint64(cy.lockBuf[:]))
 		c.postCycleFetch(st, op)
 
 	case wpFetchWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		c.dc.Poll(cy.h2)
-		cy.h, cy.h2 = nil, nil
-		check := cy.ranges
-		if cy.metaRange.size() > 0 {
-			check = append(append([]byteRange{}, cy.ranges...), cy.metaRange)
+		done, err := c.stepFetch(&cy.f)
+		if err != nil {
+			c.failCycle(st, op, err, true)
+			return
+		}
+		if !done {
+			return // the dedicated replica READ is now in flight
 		}
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync path).
-		if err := checkVersions(cy.im.buf, 0, c.ix.leaf.coveredCells(check)); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
+		if checkVersions(cy.f.im.buf, 0, cy.win.covered) != nil {
+			c.obs.TornReads.Inc()
+			if op.leafTorn++; op.leafTorn > maxRetries {
 				c.failCycle(st, op, fmt.Errorf("core: leaf %v: torn-read retries exhausted", cy.leaf), true)
 				return
 			}
@@ -498,8 +381,7 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 
 	case wpWriteWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		cy.h = nil
+		c.reap(&cy.h)
 		c.resetBackoff()
 		for _, d := range cy.settled {
 			d.cy = nil
@@ -518,57 +400,21 @@ func (c *Client) stepWriteOp(st *wpSched, op *writeOp) {
 	}
 }
 
-// postCycleFetch freezes the cycle's membership and posts the read(s) of
+// postCycleFetch freezes the cycle's membership and posts the read of
 // its working set: singleton cycles keep the synchronous path's narrow
-// window geometry (insert window with vacancy probe + argmax rider for
-// upserts, neighborhood window for updates); multi-key cycles read the
-// whole node so several hop plans share exact occupancy.
+// window (writeWindow); multi-key cycles read the whole node so several
+// hop plans share exact occupancy.
 func (c *Client) postCycleFetch(st *wpSched, drv *writeOp) {
 	cy := drv.cy
-	lay := c.ix.leaf
 	cy.collecting = false
 	if cur, ok := st.cycles[cy.leaf.Pack()]; ok && cur == cy {
 		delete(st.cycles, cy.leaf.Pack())
 	}
 	if len(cy.ops) == 1 {
 		op := cy.ops[0]
-		home := lay.homeOf(op.key)
-		count := lay.h
-		if op.kind == writeUpsert {
-			count = c.probeCount(home, cy.lw.vacancy)
-			if count < lay.h {
-				count = lay.h
-			}
-		}
-		if count < lay.span {
-			segs, idxs := lay.neighborhoodSegments(home, count, c.ix.opts.ReplicateMeta)
-			ranges := segs
-			fetchedSet := make(map[int]bool, len(idxs))
-			for _, i := range idxs {
-				fetchedSet[i] = true
-			}
-			if op.kind == writeUpsert && cy.lw.argmaxValid && !fetchedSet[cy.lw.argmax] && cy.lw.argmax < lay.span {
-				cellC := lay.entryCells[cy.lw.argmax]
-				ranges = append(append([]byteRange{}, segs...), byteRange{Off: cellC.Off, End: cellC.End()})
-				fetchedSet[cy.lw.argmax] = true
-			}
-			if cy.im == nil {
-				cy.im = lay.getImage()
-			}
-			cy.full = false
-			cy.ranges = ranges
-			cy.metaRange = byteRange{}
-			cy.metaG = lay.metaInRanges(ranges)
-			if !c.ix.opts.ReplicateMeta || cy.metaG < 0 {
-				rc := lay.replicaCells[0]
-				cy.metaRange = byteRange{Off: rc.Off, End: rc.End()}
-				cy.metaG = 0
-			}
-			fetched := make([]bool, lay.span)
-			for i := range fetchedSet {
-				fetched[i] = true
-			}
-			cy.fetched = fetched
+		if w, ok := c.writeWindow(c.ix.leaf.homeOf(op.key), cy.lw, op.kind == writeUpsert); ok {
+			cy.win, cy.full = w, false
+			cy.fetched = w.fetched(c.ix.leaf.span)
 			c.postCycleRanges(st, drv)
 			return
 		}
@@ -581,49 +427,26 @@ func (c *Client) postCycleFetch(st *wpSched, drv *writeOp) {
 func (c *Client) postCycleWholeFetch(st *wpSched, drv *writeOp) {
 	cy := drv.cy
 	lay := c.ix.leaf
-	if cy.im == nil {
-		cy.im = lay.getImage()
+	if cy.f.im == nil {
+		cy.f.im = lay.getImage()
 	}
 	// A recycled buffer carries a stale lock line; the read below only
 	// fills the cell region (split paths encode over the whole buffer).
-	for i := range cy.im.buf[:lineSize] {
-		cy.im.buf[i] = 0
-	}
-	cy.full = true
-	cy.ranges = []byteRange{{Off: lineSize, End: lay.size}}
-	cy.metaRange = byteRange{}
-	cy.metaG = 0
-	fetched := make([]bool, lay.span)
-	for i := range fetched {
-		fetched[i] = true
-	}
-	cy.fetched = fetched
+	clear(cy.f.im.buf[:lineSize])
+	cy.win, cy.full = lay.whole, true
+	cy.fetched = lay.whole.fetched(lay.span)
 	c.postCycleRanges(st, drv)
 }
 
-// postCycleRanges posts the cycle's recorded fetch geometry (initial
-// fetch and torn-read reposts share it).
+// postCycleRanges posts the cycle's planned fetch (initial fetch and
+// torn-read reposts share it).
 func (c *Client) postCycleRanges(st *wpSched, drv *writeOp) {
 	cy := drv.cy
-	var err error
-	if cy.full {
-		cy.h, err = c.dc.PostRead(cy.leaf.Add(lineSize), cy.im.buf[lineSize:])
-	} else if len(cy.ranges) == 1 {
-		r := cy.ranges[0]
-		cy.h, err = c.dc.PostRead(cy.leaf.Add(uint64(r.Off)), cy.im.buf[r.Off:r.End])
-	} else {
-		addrs := make([]dmsim.GAddr, len(cy.ranges))
-		bufs := make([][]byte, len(cy.ranges))
-		for i, r := range cy.ranges {
-			addrs[i] = cy.leaf.Add(uint64(r.Off))
-			bufs[i] = cy.im.buf[r.Off:r.End]
-		}
-		cy.h, err = c.dc.PostReadBatch(addrs, bufs)
+	if cy.f.im == nil {
+		cy.f.im = c.ix.leaf.getImage()
 	}
-	if err == nil && cy.metaRange.size() > 0 {
-		cy.h2, err = c.dc.PostRead(cy.leaf.Add(uint64(cy.metaRange.Off)), cy.im.buf[cy.metaRange.Off:cy.metaRange.End])
-	}
-	if err != nil {
+	cy.f.leaf, cy.f.w = cy.leaf, &cy.win
+	if err := c.startFetch(&cy.f); err != nil {
 		c.failCycle(st, drv, err, true)
 		return
 	}
@@ -637,7 +460,7 @@ func (c *Client) postCycleRanges(st *wpSched, drv *writeOp) {
 func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 	cy := stepped.cy
 	lay := c.ix.leaf
-	meta := cy.im.meta(cy.metaG)
+	meta := cy.f.im.meta(cy.win.metaG)
 
 	leave := func(op *writeOp, f func(*writeOp)) {
 		op.cy = nil
@@ -704,9 +527,9 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 	var done []*writeOp
 	for pi, op := range pending {
 		if i := cy.findSlot(lay, op.key); i >= 0 {
-			e := cy.im.entry(i)
+			e := cy.f.im.entry(i)
 			e.value = op.val
-			cy.im.setEntry(i, e)
+			cy.f.im.setEntry(i, e)
 			changed[i] = true
 			done = append(done, op)
 			continue
@@ -724,13 +547,13 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 				if !cy.fetched[i] {
 					return true
 				}
-				return cy.im.entry(i).occupied
+				return cy.f.im.entry(i).occupied
 			},
 			func(i int) int {
 				if !cy.fetched[i] {
 					return i
 				}
-				return lay.homeOf(cy.im.entry(i).key)
+				return lay.homeOf(cy.f.im.entry(i).key)
 			},
 		)
 		if planErr != nil && !cy.full {
@@ -749,12 +572,12 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 			c.splitCycle(st, cy, stepped, op, meta, newLW, done, pending[pi+1:])
 			return
 		}
-		for _, i := range c.applyHops(cy.im, moves, free, home, op.key, op.val) {
+		for _, i := range c.applyHops(cy.f.im, moves, free, home, op.key, op.val) {
 			changed[i] = true
 		}
 		if !cy.full {
-			newLW.vacancy = c.updateVacancy(cy.im, cy.fetched, newLW.vacancy, free)
-			c.updateArgmaxOnInsert(&newLW, cy.im, cy.fetched, free, op.key)
+			newLW.vacancy = c.updateVacancy(cy.f.im, cy.fetched, newLW.vacancy, free)
+			c.updateArgmaxOnInsert(&newLW, cy.f.im, cy.fetched, free, op.key)
 		}
 		done = append(done, op)
 	}
@@ -762,7 +585,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 	var ranges []byteRange
 	if cy.full {
 		// A node-granular write: derive the exact lock word from the image.
-		newLW = recomputeLockWord(cy.im)
+		newLW = recomputeLockWord(cy.f.im)
 		ranges = mergedCellRanges(lay, changed)
 	} else {
 		idxs := make([]int, 0, len(changed))
@@ -772,7 +595,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 		sort.Ints(idxs)
 		ranges = c.changedRanges(idxs, lay.homeOf(pending[0].key))
 	}
-	h, err := c.postWriteRangesAndUnlock(cy.leaf, cy.im, ranges, newLW)
+	h, err := c.postWriteRangesAndUnlock(cy.leaf, cy.f.im, ranges, newLW)
 	if err != nil {
 		c.unlockLeaf(cy.leaf, cy.lw)
 		for _, op := range pending {
@@ -796,7 +619,7 @@ func (c *Client) applyCycle(st *wpSched, stepped *writeOp) {
 // already-applied ops complete; the splitting op and the not-yet-applied
 // rest retraverse into the half-split leaves.
 func (c *Client) splitCycle(st *wpSched, cy *writeCycle, stepped, splitter *writeOp, meta leafMeta, lw lockWord, done, rest []*writeOp) {
-	err := c.splitLeaf(splitter.ref, cy.im, meta, lw, splitter.key)
+	err := c.splitLeaf(splitter.ref, cy.f.im, meta, lw, splitter.key)
 	for _, op := range done {
 		op.cy = nil
 		if op.notFound {
@@ -834,7 +657,7 @@ func (cy *writeCycle) findSlot(lay *leafLayout, key uint64) int {
 		if !cy.fetched[i] {
 			continue
 		}
-		if e := cy.im.entry(i); e.occupied && e.key == key {
+		if e := cy.f.im.entry(i); e.occupied && e.key == key {
 			return i
 		}
 	}
@@ -879,6 +702,7 @@ func containsWriteOp(ops []*writeOp, op *writeOp) bool {
 
 // rearriveWriteOp re-enters the leaf layer at a sibling (B-link chase).
 func (c *Client) rearriveWriteOp(st *wpSched, op *writeOp, leaf dmsim.GAddr) {
+	c.obs.SiblingChases.Inc()
 	op.hops++
 	if op.hops > maxRetries {
 		c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): sibling chain too long", op.key))
@@ -897,15 +721,13 @@ func (c *Client) restartWriteOp(st *wpSched, op *writeOp) {
 		c.failWriteOp(op, fmt.Errorf("core: write batch(%#x): retries exhausted", op.key))
 		return
 	}
-	c.releaseWriteOpBuffers(op)
 	c.rootAddr = dmsim.NilGAddr // a split root invalidates it
 	c.yield()
-	c.beginWriteOp(st, op)
+	c.startWriteOp(st, op)
 }
 
 func (c *Client) failWriteOp(op *writeOp, err error) {
 	op.err = err
-	c.releaseWriteOpBuffers(op)
 	op.state = wpDone
 }
 
@@ -931,24 +753,10 @@ func (c *Client) failCycle(st *wpSched, stepped *writeOp, err error, locked bool
 
 // releaseCycle drains any in-flight completions and recycles the image.
 func (c *Client) releaseCycle(cy *writeCycle) {
-	c.dc.Poll(cy.h)
-	c.dc.Poll(cy.h2)
-	cy.h, cy.h2 = nil, nil
-	if cy.im != nil {
-		c.ix.leaf.putImage(cy.im)
-		cy.im = nil
-	}
+	c.reap(&cy.h)
+	c.reap(&cy.f.inflight)
+	c.ix.leaf.putImage(cy.f.im)
+	cy.f.im = nil
 	cy.settled = nil
 	cy.ops = nil
-}
-
-// releaseWriteOpBuffers drains the op's own in-flight completion and
-// returns its pooled internal image (cycle resources are cycle-owned).
-func (c *Client) releaseWriteOpBuffers(op *writeOp) {
-	c.dc.Poll(op.h)
-	op.h = nil
-	if op.img != nil {
-		c.ix.inner.putImage(op.img)
-		op.img = nil
-	}
 }

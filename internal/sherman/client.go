@@ -163,6 +163,11 @@ type Client struct {
 	// response buffer.
 	router *offroute.Router
 	offBuf []byte
+
+	// one is Search's op (the point-read engine at depth 1); walk is
+	// traverse's descent. Both keep their buffers across ops.
+	one  searchOp
+	walk descent
 }
 
 // NewClient creates a client bound to the compute node.
@@ -237,65 +242,24 @@ type pathEntry struct {
 	level uint8
 }
 
-// traverse descends to the leaf covering key, preferring cached internal
-// nodes, and returns the leaf address plus the visited path.
+// traverse drives a descent to the leaf covering key by post and poll —
+// the point-read engine's walk at depth 1 — for the synchronous write
+// protocol and scans, returning the leaf address plus the visited path.
+// The path shares the client's walk buffer and is valid until the next
+// traverse.
 func (c *Client) traverse(key uint64) (dmsim.GAddr, []pathEntry, error) {
+	d := &c.walk
+	d.key = key
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		if c.rootAddr.IsNil() {
-			if err := c.refreshRoot(); err != nil {
-				return dmsim.NilGAddr, nil, err
-			}
+		r, err := c.startDescent(d)
+		for r == descPosted {
+			r, err = c.stepDescent(d)
 		}
-		c.chargeLocalWork()
-		if c.rootLevel == 0 {
-			return c.rootAddr, nil, nil
-		}
-		cur := c.rootAddr
-		var path []pathEntry
-		restart := false
-		for hop := 0; hop < maxRetries && !restart; hop++ {
-			fromCache := true
-			n := c.cn.cacheGet(cur)
-			if n == nil {
-				fromCache = false
-				img, hdr, err := c.readNode(c.ix.inner, cur)
-				if err != nil {
-					return dmsim.NilGAddr, nil, err
-				}
-				if !hdr.valid {
-					restart = true
-					break
-				}
-				n = c.decodeInternal(cur, img, hdr)
-				c.cn.cachePut(cur, n)
-			}
-			if !n.covers(key) {
-				if fromCache {
-					c.cn.cacheDrop(cur)
-					continue
-				}
-				if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
-					c.obs.SiblingChases.Inc()
-					cur = n.hdr.sibling
-					continue
-				}
-				restart = true
-				break
-			}
-			path = append(path, pathEntry{addr: cur, level: n.hdr.level})
-			child := n.childFor(key)
-			if child.IsNil() {
-				if fromCache {
-					c.cn.cacheDrop(cur)
-					continue
-				}
-				restart = true
-				break
-			}
-			if n.hdr.level == 1 {
-				return child, path, nil
-			}
-			cur = child
+		switch r {
+		case descArrived:
+			return d.leaf, d.path, nil
+		case descFailed:
+			return dmsim.NilGAddr, nil, err
 		}
 		c.obs.Retries.Inc()
 		c.rootAddr = dmsim.NilGAddr
@@ -304,63 +268,7 @@ func (c *Client) traverse(key uint64) (dmsim.GAddr, []pathEntry, error) {
 	return dmsim.NilGAddr, nil, fmt.Errorf("sherman: traverse(%#x) exhausted", key)
 }
 
-// searchOneSided performs a point query with one-sided verbs, fetching
-// the entire leaf node — the read amplification CHIME's hopscotch leaves
-// eliminate. The public Search (offload.go) routes between this and the
-// MN-side offload program.
-func (c *Client) searchOneSided(key uint64) ([]byte, error) {
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		leaf, _, err := c.traverse(key)
-		if err != nil {
-			return nil, err
-		}
-		val, err := c.searchLeafChain(leaf, key)
-		if err == errRestart {
-			c.obs.Retries.Inc()
-			c.rootAddr = dmsim.NilGAddr // a split root-leaf invalidates it
-			c.ys.yield(c.dc)
-			continue
-		}
-		return val, err
-	}
-	return nil, fmt.Errorf("sherman: Search(%#x) exhausted", key)
-}
-
-func (c *Client) searchLeafChain(leaf dmsim.GAddr, key uint64) ([]byte, error) {
-	lay := c.ix.leaf
-	for hops := 0; hops <= maxRetries; hops++ {
-		img, hdr, err := c.readNode(lay, leaf)
-		if err != nil {
-			return nil, err
-		}
-		if !hdr.valid {
-			return nil, errRestart
-		}
-		if key < hdr.fenceLow {
-			return nil, errRestart
-		}
-		if !hdr.fenceInf && key >= hdr.fenceHi {
-			if hdr.sibling.IsNil() {
-				return nil, errRestart
-			}
-			c.obs.SiblingChases.Inc()
-			leaf = hdr.sibling // half-split validation via fence keys
-			continue
-		}
-		for i := 0; i < lay.span; i++ {
-			e := lay.decodeEntry(img, i)
-			if e.occupied && e.key == key {
-				if c.ix.opts.Indirect {
-					return c.readIndirect(e.val, key)
-				}
-				return append([]byte(nil), e.val[:lay.valSize]...), nil
-			}
-		}
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("sherman: leaf chain too long")
-}
-
+// readIndirect resolves an indirect value's KV block (scans).
 func (c *Client) readIndirect(ptrBytes []byte, key uint64) ([]byte, error) {
 	ptr := dmsim.UnpackGAddr(binary.LittleEndian.Uint64(ptrBytes[:8]))
 	if ptr.IsNil() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chime/internal/dmsim"
+	"chime/internal/obs"
 	"chime/internal/ycsb"
 )
 
@@ -53,6 +54,51 @@ func TestCrossCNStaleCache(t *testing.T) {
 		if err := cl1.Update(ycsb.KeyOf(i), val8(i+1)); err != nil {
 			t.Fatalf("stale-cache update %d: %v", i, err)
 		}
+	}
+
+	// Search and SearchBatch count sibling chases alike. Two fresh CNs
+	// cache the same view; CN2 then grows the right edge of the key
+	// space, so both walk identical stale rightmost paths and reach the
+	// new keys only by chasing fence-key siblings from the old last leaf.
+	top := uint64(0)
+	for i := uint64(0); i < phase2; i++ {
+		top = max(top, ycsb.KeyOf(i))
+	}
+	sinkS, sinkB := obs.NewSink(false), obs.NewSink(false)
+	cnS, cnB := ix.NewComputeNode(64<<20), ix.NewComputeNode(64<<20)
+	cnS.SetObserver(sinkS)
+	cnB.SetObserver(sinkB)
+	clS, clB := cnS.NewClient(), cnB.NewClient()
+	for i := uint64(0); i < phase2; i += 7 {
+		for _, cl := range []*Client{clS, clB} {
+			if _, err := cl.Search(ycsb.KeyOf(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var edge []uint64
+	for i := uint64(1); i <= 2000; i++ {
+		edge = append(edge, top+i)
+		if err := cl2.Insert(top+i, val8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chases := func(s *obs.Sink) int64 { return s.Registry().Counter(obs.NameSiblingChase).Load() }
+	s0, b0 := chases(sinkS), chases(sinkB)
+	for i, k := range edge {
+		got, err := clS.Search(k)
+		if err != nil || binary.LittleEndian.Uint64(got) != uint64(i+1) {
+			t.Fatalf("right-edge search %d: %v %v", i+1, got, err)
+		}
+	}
+	vals, errs := clB.SearchBatch(edge, 1)
+	for i := range edge {
+		if errs[i] != nil || binary.LittleEndian.Uint64(vals[i]) != uint64(i+1) {
+			t.Fatalf("right-edge batch search %d: %v %v", i+1, vals[i], errs[i])
+		}
+	}
+	if dS, dB := chases(sinkS)-s0, chases(sinkB)-b0; dS == 0 || dS != dB {
+		t.Fatalf("sibling chases: Search %d, SearchBatch %d; want equal and nonzero", dS, dB)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sherman
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -13,21 +12,24 @@ import (
 // Pipelined batch writes for the Sherman baseline: the same posted-verb
 // write state machine as core.InsertBatch, so the write-pipelining
 // sensitivity experiment compares the two systems through an identical
-// interface. Sherman fetches whole leaves under the lock (its write path
-// reads the full node before picking a slot), so every cycle posts a
-// full-node READ; the write-back is fine-grained — only the touched
-// entry cells ride the doorbell batch alongside the cleared lock word.
+// interface. A key reaches its leaf through the point-read engine's
+// descent (pipeline.go). Sherman fetches whole leaves under the lock
+// (its write path reads the full node before picking a slot), so every
+// cycle posts a full-node READ; the write-back is fine-grained — only
+// the touched entry cells ride the doorbell batch alongside the cleared
+// lock word.
 //
 // Keys resolving to the same leaf while its cycle is still collecting
 // are combined into one lock/fetch/write round, exactly as in core. The
 // batch path bypasses the local lock table (its blocking Acquire would
 // stall the rest of the batch); the remote lock word stays the ground
-// truth and ReleaseRemote on a never-Acquired address is a no-op.
+// truth and ReleaseRemote on a never-Acquired address is a no-op. The
+// synchronous Insert and modify keep their own protocol for the same
+// reason: they hand released locks to queued same-CN waiters.
 
 // wOp states.
 const (
-	swRootWait = iota + 1
-	swInternalWait
+	swDescend = iota + 1
 	swLockWait
 	swFetchWait
 	swWriteWait
@@ -42,27 +44,17 @@ const (
 	writeUpdate                  // overwrite-only, ErrNotFound when absent
 )
 
-// wOp is one in-flight key of an InsertBatch/UpdateBatch.
+// wOp is one in-flight key of an InsertBatch/UpdateBatch: the shared
+// descent (pipeline.go), then a seat in a leaf write cycle.
 type wOp struct {
+	descent
 	kind writeKind
-	key  uint64
 	val  []byte
 	idx  int
 
 	state int
 
-	root      dmsim.GAddr
-	rootLevel uint8
-	cur       dmsim.GAddr
-	path      []pathEntry
-	leaf      dmsim.GAddr
-	hops      int
-
-	h       *dmsim.Completion
-	rootBuf [8]byte
-	img     []byte // internal-node image
-
-	restarts, torn, casFails int
+	restarts, casFails, leafTorn int
 
 	cy       *wCycle
 	notFound bool
@@ -171,7 +163,7 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 	}
 	admit := func() {
 		for next < n && live < depth {
-			op := &wOp{kind: kind, key: keys[next], idx: next}
+			op := &wOp{descent: descent{key: keys[next]}, kind: kind, idx: next}
 			next++
 			live++
 			all = append(all, op)
@@ -180,7 +172,7 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 				op.err, op.state = err, swDone
 			} else {
 				op.val = val
-				c.beginWOp(st, op)
+				c.startWOp(st, op)
 			}
 			settle(op)
 			drain()
@@ -212,97 +204,26 @@ func (c *Client) runWriteBatch(kind writeKind, keys []uint64, values [][]byte, d
 	return errs
 }
 
-// beginWOp (re)starts a key's traversal toward its leaf.
-func (c *Client) beginWOp(st *swSched, op *wOp) {
-	op.path = nil
-	op.hops = 0
+// startWOp (re)starts a key's descent toward its leaf.
+func (c *Client) startWOp(st *swSched, op *wOp) {
 	op.cy = nil
 	op.notFound = false
-	c.chargeLocalWork()
-	if c.rootAddr.IsNil() {
-		h, err := c.dc.PostRead(c.ix.super, op.rootBuf[:])
-		if err != nil {
-			c.failWOp(op, err)
-			return
-		}
-		op.h = h
-		op.state = swRootWait
-		return
-	}
-	op.root, op.rootLevel = c.rootAddr, c.rootLevel
-	c.descendWFromRoot(st, op)
+	r, err := c.startDescent(&op.descent)
+	c.wDescended(st, op, r, err)
 }
 
-func (c *Client) descendWFromRoot(st *swSched, op *wOp) {
-	if op.rootLevel == 0 {
-		op.leaf = op.root
+// wDescended acts on a descent outcome.
+func (c *Client) wDescended(st *swSched, op *wOp, r descentResult, err error) {
+	switch r {
+	case descPosted:
+		op.state = swDescend
+	case descArrived:
 		c.arriveWAtLeaf(st, op)
-		return
-	}
-	op.cur = op.root
-	c.descendWLoop(st, op)
-}
-
-func (c *Client) descendWLoop(st *swSched, op *wOp) {
-	for ; op.hops < maxRetries; op.hops++ {
-		n := c.cn.cacheGet(op.cur)
-		if n == nil {
-			c.postWInternal(op)
-			return
-		}
-		if !c.stepWNode(st, op, n, true) {
-			return
-		}
-	}
-	c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): descent loop exhausted", op.key))
-}
-
-// stepWNode applies one internal node to the descent; false means the
-// op posted, arrived at its leaf, restarted, or failed.
-func (c *Client) stepWNode(st *swSched, op *wOp, n *node, fromCache bool) bool {
-	key := op.key
-	if !n.covers(key) {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		if !n.hdr.fenceInf && key >= n.hdr.fenceHi && !n.hdr.sibling.IsNil() {
-			op.cur = n.hdr.sibling
-			return true
-		}
+	case descRestart:
 		c.restartWOp(st, op)
-		return false
-	}
-	op.path = append(op.path, pathEntry{addr: op.cur, level: n.hdr.level})
-	child := n.childFor(key)
-	if child.IsNil() {
-		if fromCache {
-			c.cn.cacheDrop(op.cur)
-			return true
-		}
-		c.restartWOp(st, op)
-		return false
-	}
-	if n.hdr.level == 1 {
-		op.leaf = child
-		c.arriveWAtLeaf(st, op)
-		return false
-	}
-	op.cur = child
-	return true
-}
-
-func (c *Client) postWInternal(op *wOp) {
-	if op.img == nil || len(op.img) != c.ix.inner.size {
-		op.img = make([]byte, c.ix.inner.size)
-	}
-	h, err := c.dc.PostRead(op.cur.Add(lineSize), op.img[lineSize:])
-	if err != nil {
+	default:
 		c.failWOp(op, err)
-		return
 	}
-	op.h = h
-	op.state = swInternalWait
 }
 
 // arriveWAtLeaf joins the leaf's collecting cycle, or opens a new one
@@ -358,45 +279,15 @@ func (c *Client) postWCycleFetch(st *swSched, drv *wOp) {
 
 func (c *Client) stepWOp(st *swSched, op *wOp) {
 	switch op.state {
-	case swRootWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		addr, lvl := unpackSuper(binary.LittleEndian.Uint64(op.rootBuf[:]))
-		c.rootAddr, c.rootLevel = addr, lvl
-		op.root, op.rootLevel = addr, lvl
-		c.descendWFromRoot(st, op)
-
-	case swInternalWait:
-		c.dc.Poll(op.h)
-		op.h = nil
-		if err := nodelayout.CheckVersions(op.img, 0, c.ix.inner.allCells); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
-				c.failWOp(op, fmt.Errorf("sherman: node %v: torn-read retries exhausted", op.cur))
-				return
-			}
-			c.ys.yield(c.dc)
-			c.postWInternal(op)
-			return
-		}
-		c.ys.reset()
-		hdr := c.ix.inner.decodeHeader(op.img)
-		if !hdr.valid {
-			c.restartWOp(st, op)
-			return
-		}
-		n := c.decodeInternal(op.cur, op.img, hdr)
-		c.cn.cachePut(op.cur, n)
-		op.img = nil
-		if c.stepWNode(st, op, n, false) {
-			c.descendWLoop(st, op)
-		}
+	case swDescend:
+		r, err := c.stepDescent(&op.descent)
+		c.wDescended(st, op, r, err)
 
 	case swLockWait:
 		cy := op.cy
 		c.dc.Poll(cy.h)
 		_, ok := cy.h.CASResult()
-		cy.h = nil
+		c.reap(&cy.h)
 		if !ok {
 			op.casFails++
 			if op.casFails > maxRetries {
@@ -412,13 +303,12 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 
 	case swFetchWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		cy.h = nil
+		c.reap(&cy.h)
 		// The lock is held, so tearing cannot happen; validate anyway for
 		// defense in depth (mirrors the sync readNode).
 		if err := nodelayout.CheckVersions(cy.img, 0, c.ix.leaf.allCells); err != nil {
-			op.torn++
-			if op.torn > maxRetries {
+			c.obs.TornReads.Inc()
+			if op.leafTorn++; op.leafTorn > maxRetries {
 				c.failWCycle(st, op, fmt.Errorf("sherman: leaf %v: torn-read retries exhausted", cy.leaf), true)
 				return
 			}
@@ -435,8 +325,7 @@ func (c *Client) stepWOp(st *swSched, op *wOp) {
 
 	case swWriteWait:
 		cy := op.cy
-		c.dc.Poll(cy.h)
-		cy.h = nil
+		c.reap(&cy.h)
 		c.ys.reset()
 		for _, d := range cy.settled {
 			d.cy = nil
@@ -669,6 +558,7 @@ func (c *Client) batchUnlock(leaf dmsim.GAddr) {
 // op keeps its path: sibling leaves propagate splits through the same
 // ancestors, exactly as the synchronous chase does.
 func (c *Client) rearriveWOp(st *swSched, op *wOp, leaf dmsim.GAddr) {
+	c.obs.SiblingChases.Inc()
 	op.hops++
 	if op.hops > maxRetries {
 		c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): sibling chain too long", op.key))
@@ -687,17 +577,12 @@ func (c *Client) restartWOp(st *swSched, op *wOp) {
 		c.failWOp(op, fmt.Errorf("sherman: write batch(%#x): retries exhausted", op.key))
 		return
 	}
-	c.dc.Poll(op.h)
-	op.h = nil
-	op.img = nil
 	c.rootAddr = dmsim.NilGAddr
 	c.ys.yield(c.dc)
-	c.beginWOp(st, op)
+	c.startWOp(st, op)
 }
 
 func (c *Client) failWOp(op *wOp, err error) {
-	c.dc.Poll(op.h)
-	op.h = nil
 	op.err = err
 	op.state = swDone
 }
@@ -724,8 +609,7 @@ func (c *Client) failWCycle(st *swSched, stepped *wOp, err error, locked bool) {
 
 // releaseWCycle drains any in-flight completion and drops the image.
 func (c *Client) releaseWCycle(cy *wCycle) {
-	c.dc.Poll(cy.h)
-	cy.h = nil
+	c.reap(&cy.h)
 	cy.img = nil
 	cy.settled = nil
 	cy.ops = nil
